@@ -97,8 +97,8 @@ type benchParams struct {
 }
 
 // The solver set is identical at both scales (it costs well under a
-// second): that way the quick CI smoke run compares its solver counters
-// directly against the committed full-scale baseline instead of skipping.
+// second). compareBench refuses a baseline of another scale, so the quick
+// CI smoke run compares against a committed quick-scale baseline.
 func benchScale(quick bool) (string, benchParams) {
 	if quick {
 		return "quick", benchParams{
@@ -269,6 +269,13 @@ func compareBench(report benchReport, baselinePath string, tol float64, stdout i
 	}
 	if base.Schema != benchSchema {
 		return fmt.Errorf("bench baseline schema = %q, want %q", base.Schema, benchSchema)
+	}
+	// Per-step heuristic costs depend on the instance size, which the
+	// scale sets: a quick run against a full baseline compares different
+	// workloads, so refuse it instead of reporting size artifacts.
+	if base.Scale != report.Scale {
+		return fmt.Errorf("bench baseline %s was measured at scale %q, this run at %q: heuristic costs are not comparable across scales",
+			base.Revision, base.Scale, report.Scale)
 	}
 	fresh := make(map[string]heurBench, len(report.Heuristics))
 	for _, h := range report.Heuristics {

@@ -77,6 +77,17 @@ func TestCompareBench(t *testing.T) {
 			t.Error("missing baseline accepted")
 		}
 	})
+	t.Run("scale mismatch fails", func(t *testing.T) {
+		full := benchFixture(1000, 40)
+		full.Scale = "full"
+		path := writeBaseline(t, full)
+		quick := benchFixture(1000, 40)
+		quick.Scale = "quick"
+		err := compareBench(quick, path, 0.05, &out)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("quick run compared against a full baseline: %v", err)
+		}
+	})
 	t.Run("wrong schema fails", func(t *testing.T) {
 		bad := benchFixture(1000, 40)
 		bad.Schema = "other/v9"

@@ -274,26 +274,16 @@ func Run(inst *core.Instance, factory sim.Factory, model Model, opts sim.Options
 
 // capacityModel adapts a Model (plus its optional PossessionAware side) to
 // the kernel's CapacityModel: each step it materializes the effective
-// capacities into the dense arc-ID slice and builds the instance view the
-// strategy plans against. Arcs are added in the base graph's sorted
-// (From, To) order so the view's adjacency and arc-ID assignment are
-// deterministic and identical to the pre-kernel engine's.
+// capacities into the dense arc-ID slice and hands back the instance view
+// the strategy plans against, built by the shared sim.StepViews.
 type capacityModel struct {
-	inst  *core.Instance
-	model Model
 	aware PossessionAware
-	arcs  []graph.Arc // base arcs, sorted by (From, To), cached per run
-	ids   []int       // base arc ID per arcs[i]
+	views *sim.StepViews
 }
 
 func newCapacityModel(inst *core.Instance, model Model) *capacityModel {
-	arcs := inst.G.Arcs()
-	ids := make([]int, len(arcs))
-	for i, a := range arcs {
-		ids[i] = inst.G.ArcID(a.From, a.To)
-	}
 	aware, _ := model.(PossessionAware)
-	return &capacityModel{inst: inst, model: model, aware: aware, arcs: arcs, ids: ids}
+	return &capacityModel{aware: aware, views: sim.NewStepViews(inst, model.Cap)}
 }
 
 // StepView implements sim.CapacityModel.
@@ -301,18 +291,7 @@ func (c *capacityModel) StepView(step int, st *sim.State, eff []int) *core.Insta
 	if c.aware != nil {
 		c.aware.Observe(step, st.Possess)
 	}
-	g := graph.New(c.inst.N())
-	for i, a := range c.arcs {
-		cap := c.model.Cap(step, a)
-		if cap < 0 {
-			cap = 0
-		}
-		eff[c.ids[i]] = cap
-		if cap > 0 {
-			_ = g.AddArc(a.From, a.To, cap) // arcs are valid by construction
-		}
-	}
-	return &core.Instance{G: g, NumTokens: c.inst.NumTokens, Have: c.inst.Have, Want: c.inst.Want}
+	return c.views.View(step, eff)
 }
 
 // Validate replays a dynamic schedule against the instance and model,

@@ -129,7 +129,7 @@ func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) 
 			// the final step: detection normally runs only on crash
 			// events, but permanent partitions shift reachability with no
 			// vertex transition to trigger it.
-			detect(inst, st.Possess, fk.perm, fk.permSevered, fk.unsat)
+			fk.detect(st.Possess)
 			res.Liveness = classifyLiveness(inst, st.Possess, fk.unsat)
 		}
 		res.Unsatisfiable = receiverReports(inst, st.Possess, fk.unsat)
@@ -206,8 +206,11 @@ type faultKernel struct {
 	res   *Result
 	aware dynamic.PossessionAware
 
-	arcs []graph.Arc // base arcs, sorted by (From, To), cached per run
-	ids  []int       // base arc ID per arcs[i]
+	views *sim.StepViews
+	// detectCaps is detect's per-arc capacity scratch, parallel to
+	// views.Arcs().
+	//ocd:scratch
+	detectCaps []int
 
 	prevDown, down, perm []bool
 	// everDelivered tracks first deliveries for the retransmission count;
@@ -229,19 +232,13 @@ type faultKernel struct {
 
 func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 	n := inst.N()
-	arcs := inst.G.Arcs()
-	ids := make([]int, len(arcs))
-	for i, a := range arcs {
-		ids[i] = inst.G.ArcID(a.From, a.To)
-	}
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
 	fk := &faultKernel{
 		inst:          inst,
 		plan:          plan,
 		res:           res,
 		aware:         aware,
-		arcs:          arcs,
-		ids:           ids,
+		detectCaps:    make([]int, inst.G.NumArcs()),
 		prevDown:      make([]bool, n),
 		down:          make([]bool, n),
 		perm:          make([]bool, n),
@@ -255,6 +252,7 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 		fk.everDelivered[v] = tokenset.New(inst.NumTokens)
 		fk.unsat[v] = tokenset.New(inst.NumTokens)
 	}
+	fk.views = sim.NewStepViews(inst, fk.capAt)
 	return fk
 }
 
@@ -315,7 +313,7 @@ func (f *faultKernel) PreStep(step int, st *sim.State) {
 		st.InvalidateCounts()
 	}
 	if f.needDetect {
-		detect(f.inst, st.Possess, f.perm, f.permSevered, f.unsat)
+		f.detect(st.Possess)
 		f.needDetect = false
 	}
 }
@@ -338,7 +336,7 @@ func (f *faultKernel) OnDeliver(_ int, mv core.Move) {
 // declaring a stall — the strategy may be idle precisely because nothing
 // deliverable remains.
 func (f *faultKernel) OnIdleLimit(_ int, st *sim.State) bool {
-	detect(f.inst, st.Possess, f.perm, f.permSevered, f.unsat)
+	f.detect(st.Possess)
 	return settled(f.inst, st.Possess, f.unsat)
 }
 
@@ -349,21 +347,16 @@ func (f *faultKernel) StepView(step int, st *sim.State, eff []int) *core.Instanc
 	if f.aware != nil {
 		f.aware.Observe(step, st.Possess)
 	}
-	g := graph.New(f.inst.N())
-	for i, a := range f.arcs {
-		c := 0
-		if !f.down[a.From] && !f.down[a.To] && !f.plan.Partitions.Severed(step, a.From, a.To) {
-			c = f.plan.Capacity.Cap(step, a)
-			if c < 0 {
-				c = 0
-			}
-		}
-		eff[f.ids[i]] = c
-		if c > 0 {
-			_ = g.AddArc(a.From, a.To, c) // arcs are valid by construction
-		}
+	return f.views.View(step, eff)
+}
+
+// capAt is arc a's effective capacity at step: 0 when an endpoint is down
+// or a partition severs it, the capacity model's value otherwise.
+func (f *faultKernel) capAt(step int, a graph.Arc) int {
+	if f.down[a.From] || f.down[a.To] || f.plan.Partitions.Severed(step, a.From, a.To) {
+		return 0
 	}
-	return &core.Instance{G: g, NumTokens: f.inst.NumTokens, Have: f.inst.Have, Want: f.inst.Want}
+	return f.plan.Capacity.Cap(step, a)
 }
 
 // Lost implements sim.LossPolicy via the plan's deterministic loss model;
@@ -392,14 +385,17 @@ func (f *faultKernel) Lost(step int, mv core.Move, arcID int) bool {
 // they will return (with whatever possession the state-loss policy left
 // them), so their wants and holdings still count. Likewise transiently
 // severed arcs stay: they will heal.
-func detect(inst *core.Instance, possess []tokenset.Set, perm []bool, severed func(from, to int) bool, unsat []tokenset.Set) {
+func (f *faultKernel) detect(possess []tokenset.Set) {
+	inst, perm, unsat := f.inst, f.perm, f.unsat
 	n := inst.N()
-	g := graph.New(n)
-	for _, a := range inst.G.Arcs() {
-		if !perm[a.From] && !perm[a.To] && !severed(a.From, a.To) {
-			_ = g.AddArc(a.From, a.To, a.Cap) // valid by construction
+	arcs := f.views.Arcs()
+	for i, a := range arcs {
+		f.detectCaps[i] = 0
+		if !perm[a.From] && !perm[a.To] && !f.permSevered(a.From, a.To) {
+			f.detectCaps[i] = a.Cap
 		}
 	}
+	g := graph.Subgraph(n, arcs, f.detectCaps)
 	reachable := tokenset.New(inst.NumTokens)
 	for v := 0; v < n; v++ {
 		missing := inst.Want[v].Difference(possess[v])

@@ -106,11 +106,33 @@ func (m PerArc) Drop(step, from, to, k int) bool {
 type chain struct {
 	seed     int64
 	p01, p10 float64
-	states   map[[2]int][]bool
+	states   map[[2]int]trajectory
+}
+
+// trajectory is one identity's memoized states for steps [0, n), one bit
+// per step (bit t is the state at step t; words past the end of bits are
+// all false). Fault chains sit in one state for long stretches, so most
+// crash trajectories never allocate a word at all.
+type trajectory struct {
+	bits []uint64
+	n    int
+}
+
+func (tr *trajectory) at(step int) bool {
+	w := step >> 6
+	return w < len(tr.bits) && tr.bits[w]&(1<<(step&63)) != 0
+}
+
+func (tr *trajectory) set(step int) {
+	w := step >> 6
+	for len(tr.bits) <= w {
+		tr.bits = append(tr.bits, 0)
+	}
+	tr.bits[w] |= 1 << (step & 63)
 }
 
 func newChain(seed int64, p01, p10 float64) *chain {
-	return &chain{seed: seed, p01: p01, p10: p10, states: make(map[[2]int][]bool)}
+	return &chain{seed: seed, p01: p01, p10: p10}
 }
 
 // state returns the chain state at step for identity (a, b). All chains
@@ -120,23 +142,35 @@ func (c *chain) state(step, a, b int) bool {
 		return false
 	}
 	key := [2]int{a, b}
-	s := c.states[key]
-	if s == nil {
-		s = append(s, false)
+	tr := c.states[key]
+	if step < tr.n {
+		return tr.at(step)
 	}
-	for len(s) <= step {
-		t := len(s) - 1
-		cur := s[t]
-		var next bool
+	c.extend(&tr, step, a, b)
+	if c.states == nil {
+		c.states = make(map[[2]int]trajectory)
+	}
+	c.states[key] = tr
+	return tr.at(step)
+}
+
+// extend computes identity (a, b)'s states up to and including step.
+func (c *chain) extend(tr *trajectory, step, a, b int) {
+	if tr.n == 0 {
+		tr.n = 1 // step 0: false
+	}
+	cur := tr.at(tr.n - 1)
+	for t := tr.n - 1; t < step; t++ {
 		if cur {
-			next = frac(mix(c.seed, t, a, b, 1)) >= c.p10
+			cur = frac(mix(c.seed, t, a, b, 1)) >= c.p10
 		} else {
-			next = frac(mix(c.seed, t, a, b, 0)) < c.p01
+			cur = frac(mix(c.seed, t, a, b, 0)) < c.p01
 		}
-		s = append(s, next)
+		if cur {
+			tr.set(t + 1)
+		}
 	}
-	c.states[key] = s
-	return s[step]
+	tr.n = step + 1
 }
 
 // GilbertElliott is the classic bursty-loss channel: each arc carries an

@@ -23,8 +23,9 @@ type Arc struct {
 }
 
 // Graph is a simple directed graph with integer arc capacities.
-// Construct with New and AddArc; the accessor methods are read-only and
-// safe for concurrent use once construction is complete.
+// Construct with New and AddArc, or in one pass with Subgraph; the accessor
+// methods are read-only and safe for concurrent use once construction is
+// complete.
 //
 // Every distinct arc is assigned a dense arc ID in [0, NumArcs()) at
 // insertion time. The IDs let per-timestep engines keep arc-indexed state
@@ -32,14 +33,25 @@ type Arc struct {
 // simulation hot path allocates nothing per arc lookup. IDs are stable for
 // the lifetime of the graph and deterministic for a deterministic
 // construction order.
+//
+// Point lookups (ArcID, Cap, HasArc) resolve u→v from u's own adjacency:
+// byHead[u] lists u's out-arcs sorted by head vertex, so a lookup is a
+// binary search over one short contiguous slice — O(log d) even at the hub
+// of a star — and the graph holds no map. Out and In keep insertion order,
+// which the heuristics' RNG consumption depends on.
 type Graph struct {
 	n        int
 	out      [][]Arc
 	in       [][]Arc
 	outID    [][]int32
 	inID     [][]int32
-	ids      map[[2]int]int32
+	byHead   [][]hop
 	capsByID []int
+}
+
+// hop is one entry of a vertex's head-sorted out-arc index.
+type hop struct {
+	to, id int32
 }
 
 // ErrVertexRange indicates an arc endpoint outside [0, n).
@@ -51,12 +63,12 @@ func New(n int) *Graph {
 		n = 0
 	}
 	return &Graph{
-		n:     n,
-		out:   make([][]Arc, n),
-		in:    make([][]Arc, n),
-		outID: make([][]int32, n),
-		inID:  make([][]int32, n),
-		ids:   make(map[[2]int]int32),
+		n:      n,
+		out:    make([][]Arc, n),
+		in:     make([][]Arc, n),
+		outID:  make([][]int32, n),
+		inID:   make([][]int32, n),
+		byHead: make([][]hop, n),
 	}
 }
 
@@ -73,16 +85,26 @@ func (g *Graph) AddArc(u, v, capacity int) error {
 	if capacity <= 0 {
 		return fmt.Errorf("graph: capacity %d on (%d,%d) must be positive", capacity, u, v)
 	}
-	key := [2]int{u, v}
-	if id, ok := g.ids[key]; ok {
+	pos := g.search(u, v)
+	hops := g.byHead[u]
+	if pos < len(hops) && int(hops[pos].to) == v {
+		id := hops[pos].id
 		merged := g.capsByID[id] + capacity
 		g.capsByID[id] = merged
 		g.setListCap(u, v, merged)
 		return nil
 	}
 	id := int32(len(g.capsByID))
-	g.ids[key] = id
 	g.capsByID = append(g.capsByID, capacity)
+	if hops == nil {
+		// Most vertices have a handful of out-arcs: start the index at
+		// four entries instead of growing it from one.
+		hops = make([]hop, 0, 4)
+	}
+	hops = append(hops, hop{})
+	copy(hops[pos+1:], hops[pos:])
+	hops[pos] = hop{to: int32(v), id: id}
+	g.byHead[u] = hops
 	g.out[u] = append(g.out[u], Arc{From: u, To: v, Cap: capacity})
 	g.in[v] = append(g.in[v], Arc{From: u, To: v, Cap: capacity})
 	g.outID[u] = append(g.outID[u], id)
@@ -119,30 +141,50 @@ func (g *Graph) N() int { return g.n }
 // NumArcs returns the number of distinct directed arcs.
 func (g *Graph) NumArcs() int { return len(g.capsByID) }
 
+// search returns the position of v in u's head-sorted out-arc index, or
+// the position where v would be inserted. u must be in range.
+func (g *Graph) search(u, v int) int {
+	hops := g.byHead[u]
+	lo, hi := 0, len(hops)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(hops[mid].to) < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lookup returns the arc ID of u→v, or -1 if the arc does not exist or an
+// endpoint is out of range.
+func (g *Graph) lookup(u, v int) int32 {
+	if u < 0 || u >= g.n {
+		return -1
+	}
+	pos := g.search(u, v)
+	if hops := g.byHead[u]; pos < len(hops) && int(hops[pos].to) == v {
+		return hops[pos].id
+	}
+	return -1
+}
+
 // Cap returns the capacity of arc u→v, or 0 if the arc does not exist.
 func (g *Graph) Cap(u, v int) int {
-	id, ok := g.ids[[2]int{u, v}]
-	if !ok {
+	id := g.lookup(u, v)
+	if id < 0 {
 		return 0
 	}
 	return g.capsByID[id]
 }
 
 // HasArc reports whether the arc u→v exists.
-func (g *Graph) HasArc(u, v int) bool {
-	_, ok := g.ids[[2]int{u, v}]
-	return ok
-}
+func (g *Graph) HasArc(u, v int) bool { return g.lookup(u, v) >= 0 }
 
 // ArcID returns the dense arc ID of u→v in [0, NumArcs()), or -1 if the
 // arc does not exist. IDs are assigned in insertion order and never change.
-func (g *Graph) ArcID(u, v int) int {
-	id, ok := g.ids[[2]int{u, v}]
-	if !ok {
-		return -1
-	}
-	return int(id)
-}
+func (g *Graph) ArcID(u, v int) int { return int(g.lookup(u, v)) }
 
 // CapByID returns the capacity of the arc with the given dense ID.
 func (g *Graph) CapByID(id int) int { return g.capsByID[id] }
@@ -208,13 +250,96 @@ func (g *Graph) Arcs() []Arc {
 	return arcs
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. Its arc IDs follow Arcs() order.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, a := range g.Arcs() {
-		_ = c.AddArc(a.From, a.To, a.Cap) // valid arcs by construction
+	arcs := g.Arcs()
+	caps := make([]int, len(arcs))
+	for i, a := range arcs {
+		caps[i] = a.Cap
 	}
-	return c
+	return Subgraph(g.n, arcs, caps)
+}
+
+// Subgraph builds, in one pass and at exact size, the graph on n vertices
+// whose arcs are the arcs[i] with caps[i] > 0, each carrying capacity
+// caps[i] (arcs[i].Cap is ignored). arcs must be distinct, valid
+// (in-range endpoints, no self-loops) and sorted by (From, To), as Arcs()
+// returns them. The result is identical — arc IDs, Out/In order and all —
+// to New(n) followed by AddArc(a.From, a.To, caps[i]) for every positive
+// caps[i] in order, and it may be extended with AddArc afterwards.
+func Subgraph(n int, arcs []Arc, caps []int) *Graph {
+	// Storage is shared between the out and in sides; every per-vertex
+	// slice is capacity-capped, so a later AddArc reallocates instead of
+	// writing into a neighbour's arcs.
+	arcLists := make([][]Arc, 2*n)
+	idLists := make([][]int32, 2*n)
+	g := &Graph{
+		n:      n,
+		out:    arcLists[:n:n],
+		in:     arcLists[n:],
+		outID:  idLists[:n:n],
+		inID:   idLists[n:],
+		byHead: make([][]hop, n),
+	}
+	// inStart[v+1] first counts v's in-arcs; the prefix sum then makes
+	// inStart[v] v's offset into the flat in-arc storage.
+	inStart := make([]int, n+1)
+	m := 0
+	for i, a := range arcs {
+		if caps[i] > 0 {
+			m++
+			inStart[a.To+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		inStart[v+1] += inStart[v]
+	}
+	flat := make([]Arc, 2*m)
+	outArcs, inArcs := flat[:m:m], flat[m:]
+	ids := make([]int32, 2*m)
+	outIDs, inIDs := ids[:m:m], ids[m:]
+	hops := make([]hop, m)
+	g.capsByID = make([]int, m)
+	// Arcs arrive sorted by (From, To), so each vertex's out-arcs are one
+	// contiguous run already sorted by head, and IDs are assigned in order.
+	id := 0
+	for i, a := range arcs {
+		c := caps[i]
+		if c <= 0 {
+			continue
+		}
+		arc := Arc{From: a.From, To: a.To, Cap: c}
+		outArcs[id] = arc
+		outIDs[id] = int32(id)
+		hops[id] = hop{to: int32(a.To), id: int32(id)}
+		g.capsByID[id] = c
+		pos := inStart[a.To]
+		inStart[a.To]++
+		inArcs[pos] = arc
+		inIDs[pos] = int32(id)
+		id++
+	}
+	// inStart[v] now holds the end of v's in-arcs, which is where v+1's
+	// begin: walk both boundaries together.
+	lo, in := 0, 0
+	for u := 0; u < n; u++ {
+		hi := lo
+		for hi < m && outArcs[hi].From == u {
+			hi++
+		}
+		if hi > lo {
+			g.out[u] = outArcs[lo:hi:hi]
+			g.outID[u] = outIDs[lo:hi:hi]
+			g.byHead[u] = hops[lo:hi:hi]
+		}
+		lo = hi
+		if end := inStart[u]; end > in {
+			g.in[u] = inArcs[in:end:end]
+			g.inID[u] = inIDs[in:end:end]
+			in = end
+		}
+	}
+	return g
 }
 
 // BFSFrom returns the hop distance from src to every vertex following arc

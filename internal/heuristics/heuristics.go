@@ -59,8 +59,9 @@ func All() []sim.Factory {
 // residual tracks per-arc remaining capacity within a single timestep as a
 // dense slice indexed by the graph's arc IDs. Each strategy owns one as a
 // scratch buffer and resets it at the top of every Plan call from the
-// step's effective graph — the fault/dynamic engines rebuild the graph
-// between steps, so arc IDs are only stable within a single Plan.
+// step's effective graph — under the fault/dynamic engines that is the
+// step's view, whose arc IDs are its own rather than the base graph's.
+// take and left resolve u→v through the view's adjacency index.
 type residual struct {
 	g *graph.Graph
 	//ocd:scratch

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"ocd/internal/core"
+	"ocd/internal/graph"
 	"ocd/internal/sim"
 )
 
@@ -15,32 +16,40 @@ import (
 var RoundRobin sim.Factory = newRoundRobin
 
 type roundRobin struct {
-	// cursor holds, per arc, the token ID after the last one sent. It is
-	// keyed by endpoints rather than arc ID because it persists across
-	// timesteps, and the fault/dynamic engines rebuild the effective graph
-	// (with fresh arc IDs) every step.
-	cursor map[[2]int]int
+	// cursor holds, per arc of the base graph (the instance the strategy
+	// was built for), the token ID after the last one sent. It persists
+	// across timesteps, and the fault/dynamic engines plan against a
+	// per-step view with its own arc IDs, so view arcs are mapped back to
+	// base IDs by an adjacency lookup; on the base graph itself the IDs
+	// coincide. Every view is a subgraph of the base graph.
+	base   *graph.Graph
+	cursor []int
 	moves  []core.Move
 }
 
 func newRoundRobin(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
-	return &roundRobin{cursor: make(map[[2]int]int, inst.G.NumArcs())}, nil
+	return &roundRobin{base: inst.G, cursor: make([]int, inst.G.NumArcs())}, nil
 }
 
 func (r *roundRobin) Name() string { return "roundrobin" }
 
 func (r *roundRobin) Plan(st *sim.State) []core.Move {
 	m := st.Inst.NumTokens
+	g := st.Inst.G
 	moves := r.moves[:0]
 	for u := 0; u < st.Inst.N(); u++ {
 		have := st.Possess[u]
 		if have.Empty() {
 			continue
 		}
-		for _, a := range st.Inst.G.Out(u) {
-			key := [2]int{a.From, a.To}
-			cur := r.cursor[key]
-			sent := 0
+		ids := g.OutArcIDs(u)
+		for i, a := range g.Out(u) {
+			id := int(ids[i])
+			if g != r.base {
+				id = r.base.ArcID(a.From, a.To)
+			}
+			cur := r.cursor[id]
+			next, sent := cur, 0
 			// One full cycle at most: skip tokens u does not have.
 			for scanned := 0; scanned < m && sent < a.Cap; scanned++ {
 				t := (cur + scanned) % m
@@ -49,8 +58,9 @@ func (r *roundRobin) Plan(st *sim.State) []core.Move {
 				}
 				moves = append(moves, core.Move{From: u, To: a.To, Token: t})
 				sent++
-				r.cursor[key] = (t + 1) % m
+				next = (t + 1) % m
 			}
+			r.cursor[id] = next
 		}
 	}
 	r.moves = moves

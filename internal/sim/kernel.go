@@ -215,26 +215,34 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		}
 		idle = 0
 
-		delivered = delivered[:0]
-		for i, mv := range accepted {
-			if eng.Loss != nil && eng.Loss.Lost(step, mv, acceptedIDs[i]) {
-				res.Lost++
-				if obs != nil {
-					obs.OnMove(step, mv, acceptedIDs[i], true, st)
+		// Without a loss policy every accepted move is delivered and the
+		// schedule's copy comes straight from accepted.
+		kept := accepted
+		if eng.Loss != nil {
+			delivered = delivered[:0]
+			for i, mv := range accepted {
+				lost := eng.Loss.Lost(step, mv, acceptedIDs[i])
+				if lost {
+					res.Lost++
+				} else {
+					delivered = append(delivered, mv)
 				}
-				continue
+				if obs != nil {
+					obs.OnMove(step, mv, acceptedIDs[i], lost, st)
+				}
 			}
-			delivered = append(delivered, mv)
-			if obs != nil {
+			kept = delivered
+		} else if obs != nil {
+			for i, mv := range accepted {
 				obs.OnMove(step, mv, acceptedIDs[i], false, st)
 			}
 		}
-		// The schedule keeps an exact-size copy — the scratch buffer's
+		// The schedule keeps an exact-size copy — the scratch buffers'
 		// spare capacity never escapes, and a fully-lost step records nil.
 		var out core.Step
-		if len(delivered) > 0 {
-			out = make(core.Step, len(delivered))
-			copy(out, delivered)
+		if len(kept) > 0 {
+			out = make(core.Step, len(kept))
+			copy(out, kept)
 		}
 		for _, mv := range out {
 			if ic != nil {
