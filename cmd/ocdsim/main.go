@@ -25,6 +25,7 @@ import (
 
 	"ocd"
 	"ocd/internal/cliutil"
+	"ocd/internal/topology"
 )
 
 func main() {
@@ -225,6 +226,11 @@ func buildInstance(instPath, topo, work string, n, tokens int, density float64, 
 	case "random":
 		g, err = ocd.RandomTopology(n, ocd.DefaultCaps, seed)
 	case "transit-stub":
+		// The generator rounds any smaller n up to one full domain; say so
+		// instead of silently simulating a larger graph.
+		if minN := topology.TransitStubMinN(); n < minN {
+			return nil, fmt.Errorf("-n must be at least %d with -topology transit-stub (one transit domain with its stubs), got %d", minN, n)
+		}
 		g, err = ocd.TransitStubTopology(n, ocd.DefaultCaps, seed)
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topo)

@@ -46,7 +46,7 @@ func TestRunExtensionStrategies(t *testing.T) {
 
 func TestRunWorkloadsAndTopologies(t *testing.T) {
 	for _, args := range [][]string{
-		{"-topology", "transit-stub", "-n", "20", "-tokens", "6"},
+		{"-topology", "transit-stub", "-n", "40", "-tokens", "6"},
 		{"-workload", "density", "-n", "15", "-tokens", "6", "-density", "0.4"},
 		{"-workload", "multifile", "-n", "15", "-tokens", "8", "-files", "4"},
 		{"-workload", "multisender", "-n", "15", "-tokens", "8", "-files", "4"},
@@ -113,6 +113,26 @@ func TestRunStepTraceRejectsOracle(t *testing.T) {
 	err := run([]string{"-n", "10", "-tokens", "4", "-oracle", "-steptrace", "t.jsonl"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-oracle") {
 		t.Errorf("run accepted -steptrace with -oracle: %v", err)
+	}
+}
+
+// TestTransitStubMinimumSize pins the rejection of transit-stub sizes the
+// generator cannot build: the error names the minimum, and the minimum
+// itself is accepted and builds exactly that many vertices.
+func TestTransitStubMinimumSize(t *testing.T) {
+	for _, n := range []string{"2", "39"} {
+		var out bytes.Buffer
+		err := run([]string{"-topology", "transit-stub", "-n", n, "-tokens", "4"}, &out)
+		if err == nil {
+			t.Errorf("-n %s accepted with -topology transit-stub", n)
+			continue
+		}
+		if !strings.Contains(err.Error(), "must be at least 40") {
+			t.Errorf("-n %s: error %q does not name the minimum 40", n, err)
+		}
+	}
+	if out := runOK(t, "-topology", "transit-stub", "-n", "40", "-tokens", "4"); !strings.Contains(out, "graph: n=40 ") {
+		t.Errorf("-n 40 did not build a 40-vertex graph:\n%s", out)
 	}
 }
 

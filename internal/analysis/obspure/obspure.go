@@ -67,11 +67,11 @@ var (
 )
 
 // defaultReadonly are the State methods an observer may call: accessors
-// that cannot change the run. HaveCounts is included deliberately — it
-// materializes a lazily-computed cache, but the cached values are
-// identical whether or not an observer forced the computation, so
-// attaching the observer cannot perturb the schedule.
-var defaultReadonly = []string{"Missing", "Lacking", "MissingInto", "LackingInto", "HaveCounts"}
+// that cannot change the run. HaveCounts and Holders are included
+// deliberately — each materializes a lazily-computed cache, but the cached
+// values are identical whether or not an observer forced the computation,
+// so attaching the observer cannot perturb the schedule.
+var defaultReadonly = []string{"Missing", "Lacking", "MissingInto", "LackingInto", "HaveCounts", "Holders"}
 
 func init() {
 	Analyzer.Flags.StringVar(&simFlag, "sim", "ocd/internal/sim",

@@ -40,16 +40,19 @@ func TestDefaultContractPackage(t *testing.T) {
 }
 
 func TestHaveCountsIsReadonly(t *testing.T) {
-	// HaveCounts materializes a lazy cache but cannot change the schedule;
-	// dropping it from the read-only list would flag StepCollector's
-	// sanctioned use and push people toward suppressions.
-	found := false
-	for _, name := range defaultReadonly {
-		if name == "HaveCounts" {
-			found = true
+	// HaveCounts and Holders materialize lazy caches but cannot change the
+	// schedule; dropping either from the read-only list would flag
+	// sanctioned uses (StepCollector reads HaveCounts) and push people
+	// toward suppressions.
+	for _, want := range []string{"HaveCounts", "Holders"} {
+		found := false
+		for _, name := range defaultReadonly {
+			if name == want {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatal("HaveCounts missing from defaultReadonly; trace.StepCollector relies on it")
+		if !found {
+			t.Errorf("%s missing from defaultReadonly", want)
+		}
 	}
 }

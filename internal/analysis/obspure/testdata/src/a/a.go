@@ -22,6 +22,9 @@ func (c *cleanObserver) OnStep(step int, delivered sim.Step, st *sim.State) {
 	if counts := st.HaveCounts(); len(counts) > 0 {
 		c.seen = append(c.seen, counts[0])
 	}
+	if holders := st.Holders(); len(holders) > 0 {
+		c.seen = append(c.seen, holders[0].Count())
+	}
 }
 
 func (c *cleanObserver) OnMove(step int, mv sim.Move, arcID int, lost bool, st *sim.State) {

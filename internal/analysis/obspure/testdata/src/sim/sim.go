@@ -25,9 +25,11 @@ type State struct {
 	Possess []Set
 	Step    int
 	counts  []int
+	holders []Set
 }
 
 func (s *State) HaveCounts() []int { return s.counts }
+func (s *State) Holders() []Set    { return s.holders }
 func (s *State) Missing(v int) Set { return Set{} }
 func (s *State) Deliver(mv Move)   {}
 func (s *State) InvalidateCounts() { s.counts = nil }

@@ -3,6 +3,7 @@ package heuristics
 import (
 	"testing"
 
+	"ocd/internal/core"
 	"ocd/internal/sim"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
@@ -35,6 +36,13 @@ var lossyAllocCeilings = map[string]float64{
 	"bandwidth":  250,
 	"global":     500,
 }
+
+// pruneAllocCeiling guards core.Prune's allocation count on each
+// heuristic's complete schedule of the reference workload. Prune marks
+// moves in one flag slice, reuses one slab of possession sets for both
+// passes and builds its output in one exact-size move array, so the count
+// is a constant (6) independent of the schedule; ~50% headroom above it.
+const pruneAllocCeiling = 9
 
 // BenchmarkHeuristicRun is the per-heuristic microbenchmark backing the
 // ceilings above: -benchmem reports allocs/op for the same fixed workload.
@@ -100,4 +108,19 @@ func TestAllocationCeilings(t *testing.T) {
 			}
 		})
 	}
+	t.Run("prune", func(t *testing.T) {
+		for i, factory := range All() {
+			name := Names()[i]
+			res, err := sim.Run(inst, factory, sim.Options{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			allocs := testing.AllocsPerRun(5, func() { core.Prune(inst, res.Schedule) })
+			t.Logf("%s: core.Prune %.0f allocs (ceiling %d)", name, allocs, pruneAllocCeiling)
+			if allocs > pruneAllocCeiling {
+				t.Errorf("core.Prune on %s's schedule allocated %.0f times, ceiling %d — per-step or per-vertex allocation crept back in",
+					name, allocs, pruneAllocCeiling)
+			}
+		}
+	})
 }

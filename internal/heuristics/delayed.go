@@ -96,9 +96,9 @@ func (l *localDelayed) Plan(st *sim.State) []core.Move {
 		st.MissingInto(v, l.wanted)
 		st.LackingInto(v, l.other)
 		l.other.DifferenceWith(l.wanted)
-		l.tokens = appendTokensByRarity(&l.sorter, l.tokens[:0], l.wanted, l.counts, st.Inst.N(), st.Rand)
+		l.tokens = appendTokensByRarity(&l.sorter, l.tokens[:0], l.wanted, l.counts, st.Rand)
 		wantedEnd := len(l.tokens)
-		l.tokens = appendTokensByRarity(&l.sorter, l.tokens, l.other, l.counts, st.Inst.N(), st.Rand)
+		l.tokens = appendTokensByRarity(&l.sorter, l.tokens, l.other, l.counts, st.Rand)
 		// Wanted before diversity, via plain calls so the scratch buffer
 		// never lands in a composite literal (see localStrategy.requestClass).
 		l.requestClass(st, view, v, l.tokens[:wantedEnd])

@@ -105,9 +105,9 @@ func (r *residual) left(u, v int) int {
 }
 
 // raritySorter holds the reusable scratch for the stable sort-by-count on
-// the per-vertex hot path: a counting-sort bucket array (have-counts are
-// bounded by the vertex count) and a staging buffer. One lives in each
-// rarest-random strategy so sorting allocates nothing in steady state.
+// the per-vertex hot path: a counting-sort bucket array and a staging
+// buffer. One lives in each rarest-random strategy so sorting allocates
+// nothing in steady state.
 type raritySorter struct {
 	//ocd:scratch
 	bucket []int
@@ -115,13 +115,12 @@ type raritySorter struct {
 	tmp []int
 }
 
-// sortByCount stably sorts tokens ascending by counts[t]. Counts are vertex
-// tallies, so they lie in [0, maxCount]; a two-pass counting sort is O(k +
-// maxCount) and — being stable — preserves the pre-shuffled order among
-// equal-rarity tokens exactly as the old insertion sort (and a
-// sort.SliceStable) would. Small inputs fall back to a stable insertion
-// sort to skip the bucket reset.
-func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
+// sortByCount stably sorts tokens ascending by counts[t]. A two-pass
+// counting sort over the counts actually present, [lo, hi], is O(k + hi −
+// lo) and — being stable — preserves the pre-shuffled order among
+// equal-rarity tokens exactly as a sort.SliceStable would. Small inputs
+// fall back to a stable insertion sort to skip the bucket reset.
+func (r *raritySorter) sortByCount(tokens []int, counts []int) {
 	if len(tokens) < 16 {
 		for i := 1; i < len(tokens); i++ {
 			t := tokens[i]
@@ -134,13 +133,26 @@ func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
 		}
 		return
 	}
-	if cap(r.bucket) < maxCount+2 {
-		r.bucket = make([]int, maxCount+2)
+	lo, hi := counts[tokens[0]], counts[tokens[0]]
+	for _, t := range tokens[1:] {
+		c := counts[t]
+		if c < lo {
+			lo = c
+		} else if c > hi {
+			hi = c
+		}
 	}
-	bucket := r.bucket[:maxCount+2]
+	if lo == hi {
+		return // one rarity class: the stable order is the input order
+	}
+	span := hi - lo + 2
+	if cap(r.bucket) < span {
+		r.bucket = make([]int, span)
+	}
+	bucket := r.bucket[:span]
 	clear(bucket)
 	for _, t := range tokens {
-		bucket[counts[t]+1]++
+		bucket[counts[t]-lo+1]++
 	}
 	for c := 1; c < len(bucket); c++ {
 		bucket[c] += bucket[c-1]
@@ -150,19 +162,28 @@ func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
 	}
 	tmp := r.tmp[:len(tokens)]
 	for _, t := range tokens {
-		tmp[bucket[counts[t]]] = t
-		bucket[counts[t]]++
+		c := counts[t] - lo
+		tmp[bucket[c]] = t
+		bucket[c]++
 	}
 	copy(tokens, tmp)
 }
 
 // appendTokensByRarity appends the tokens of set to buf ordered by ascending
-// have-count (rarest first), and returns the extended buffer. The tokens
-// are Fisher-Yates shuffled with rng before a single stable sort keyed by
-// count — stability preserves the shuffled order among equal-rarity tokens,
-// which is the tie-diversification the §5.1 rarest-random family relies on
-// (replacing the old shuffle + O(k²) insertion sort over the full set).
-func appendTokensByRarity(sorter *raritySorter, buf []int, set tokenset.Set, counts []int, maxCount int, rng *rand.Rand) []int {
+// have-count (rarest first), and returns the extended buffer: appendShuffled
+// followed by one stable sort keyed by count. Stability preserves the
+// shuffled order among equal-rarity tokens, which is the tie-diversification
+// the §5.1 rarest-random family relies on.
+func appendTokensByRarity(sorter *raritySorter, buf []int, set tokenset.Set, counts []int, rng *rand.Rand) []int {
+	start := len(buf)
+	buf = appendShuffled(buf, set, rng)
+	sorter.sortByCount(buf[start:], counts)
+	return buf
+}
+
+// appendShuffled appends the tokens of set to buf in a Fisher-Yates order
+// drawn from rng and returns the extended buffer.
+func appendShuffled(buf []int, set tokenset.Set, rng *rand.Rand) []int {
 	start := len(buf)
 	buf = set.AppendTo(buf)
 	tokens := buf[start:]
@@ -170,7 +191,6 @@ func appendTokensByRarity(sorter *raritySorter, buf []int, set tokenset.Set, cou
 		j := rng.Intn(i + 1)
 		tokens[i], tokens[j] = tokens[j], tokens[i]
 	}
-	sorter.sortByCount(tokens, counts, maxCount)
 	return buf
 }
 

@@ -6,6 +6,7 @@ import (
 	"ocd/internal/core"
 	"ocd/internal/graph"
 	"ocd/internal/sim"
+	"ocd/internal/tokenset"
 )
 
 // RoundRobin builds the paper's simplest heuristic: each vertex cycles a
@@ -48,21 +49,31 @@ func (r *roundRobin) Plan(st *sim.State) []core.Move {
 			if g != r.base {
 				id = r.base.ArcID(a.From, a.To)
 			}
-			cur := r.cursor[id]
-			next, sent := cur, 0
-			// One full cycle at most: skip tokens u does not have.
-			for scanned := 0; scanned < m && sent < a.Cap; scanned++ {
-				t := (cur + scanned) % m
-				if !have.Has(t) {
-					continue
-				}
-				moves = append(moves, core.Move{From: u, To: a.To, Token: t})
-				sent++
-				next = (t + 1) % m
-			}
-			r.cursor[id] = next
+			moves, r.cursor[id] = appendRoundRobin(moves, have, r.cursor[id], a.Cap, m, u, a.To)
 		}
 	}
 	r.moves = moves
 	return moves
+}
+
+// appendRoundRobin appends up to capacity moves u→to of the tokens in have,
+// taken in circular order from the cursor cur, and returns the moves and
+// the arc's next cursor (the token after the last one sent, mod m; cur if
+// nothing was sent). It walks have's bits with NextAfter, wrapping to First
+// once, so it visits only tokens u has instead of scanning all m IDs.
+func appendRoundRobin(moves []core.Move, have tokenset.Set, cur, capacity, m, u, to int) ([]core.Move, int) {
+	next := cur
+	t, wrapped := have.NextAfter(cur-1), false
+	for sent := 0; sent < capacity; sent++ {
+		if t < 0 && !wrapped {
+			t, wrapped = have.First(), true
+		}
+		if t < 0 || (wrapped && t >= cur) {
+			break // one full cycle done
+		}
+		moves = append(moves, core.Move{From: u, To: to, Token: t})
+		next = (t + 1) % m
+		t = have.NextAfter(t)
+	}
+	return moves, next
 }

@@ -145,14 +145,21 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 	}
 	//ocd:scratch
 	used := make([]int, numArcs)
-	// accepted/acceptedIDs/delivered are scratch buffers reused across
-	// steps; the schedule only ever retains exact-size copies.
-	//ocd:scratch
+	// accepted collects a step's admitted moves. It is sized to the
+	// proposal count before admission, so it never grows move by move.
+	// When a lossless step admits every proposal it is exactly full, and
+	// the schedule takes it as that step (the next step allocates afresh)
+	// instead of copying it out; otherwise it is reused like the scratch
+	// buffers below, and the schedule gets an exact-size copy.
 	var accepted core.Step
+	// acceptedIDs/delivered are scratch buffers reused across steps. Only
+	// the loss policy and the observer read the accepted moves' arc IDs,
+	// so without either acceptedIDs stays empty.
 	//ocd:scratch
 	var acceptedIDs []int
 	//ocd:scratch
 	var delivered core.Step
+	keepIDs := eng.Loss != nil || obs != nil
 	idle := 0
 
 	step := 0
@@ -176,12 +183,21 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		proposed := strat.Plan(st)
 
 		clear(used)
+		if cap(accepted) < len(proposed) {
+			accepted = make(core.Step, 0, len(proposed))
+		}
 		accepted = accepted[:0]
 		acceptedIDs = acceptedIDs[:0]
+		// Round Robin and Random propose each arc's moves back to back, so
+		// the previous move's arc lookup is reused while (From, To) repeats.
+		lastFrom, lastTo, lastID := -1, -1, -1
 		for _, mv := range proposed {
 			id := -1
 			if mv.Token >= 0 && mv.Token < inst.NumTokens {
-				id = inst.G.ArcID(mv.From, mv.To)
+				if mv.From != lastFrom || mv.To != lastTo {
+					lastFrom, lastTo, lastID = mv.From, mv.To, inst.G.ArcID(mv.From, mv.To)
+				}
+				id = lastID
 			}
 			ok := id >= 0 && used[id] < eff[id] && st.Possess[mv.From].Has(mv.Token)
 			if ok && eng.Admit != nil {
@@ -196,7 +212,9 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 			}
 			used[id]++
 			accepted = append(accepted, mv)
-			acceptedIDs = append(acceptedIDs, id)
+			if keepIDs {
+				acceptedIDs = append(acceptedIDs, id)
+			}
 		}
 
 		if len(accepted) == 0 {
@@ -237,10 +255,14 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 				obs.OnMove(step, mv, acceptedIDs[i], false, st)
 			}
 		}
-		// The schedule keeps an exact-size copy — the scratch buffers'
-		// spare capacity never escapes, and a fully-lost step records nil.
+		// The schedule keeps an exact-size step — no buffer's spare
+		// capacity escapes, and a fully-lost step records nil.
 		var out core.Step
-		if len(kept) > 0 {
+		switch {
+		case len(kept) == 0:
+		case eng.Loss == nil && len(accepted) == cap(accepted):
+			out, accepted = accepted, nil
+		default:
 			out = make(core.Step, len(kept))
 			copy(out, kept)
 		}

@@ -33,6 +33,22 @@ func New(universe int) Set {
 	}
 }
 
+// NewSlab returns k empty sets over [0, universe) that share one backing
+// array: two allocations instead of k+1, for per-vertex or per-token
+// families of sets that live and die together.
+func NewSlab(k, universe int) []Set {
+	if universe < 0 {
+		universe = 0
+	}
+	nw := (universe + wordBits - 1) / wordBits
+	words := make([]uint64, k*nw)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{words: words[i*nw : (i+1)*nw : (i+1)*nw], universe: universe}
+	}
+	return sets
+}
+
 // FromSlice returns a set over [0, universe) containing the given tokens.
 func FromSlice(universe int, tokens []int) Set {
 	s := New(universe)
@@ -69,6 +85,21 @@ func (s Set) Add(t int) {
 		return
 	}
 	s.words[t/wordBits] |= uint64(1) << uint(t%wordBits)
+}
+
+// Insert adds token t and reports whether it was absent: one probe
+// instead of a Has followed by an Add. Tokens outside [0, Universe) are
+// ignored and report false.
+func (s Set) Insert(t int) bool {
+	if t < 0 || t >= s.universe {
+		return false
+	}
+	w, bit := &s.words[t/wordBits], uint64(1)<<uint(t%wordBits)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
 }
 
 // Remove deletes token t if present.

@@ -43,6 +43,44 @@ func TestAddRemoveHas(t *testing.T) {
 	}
 }
 
+func TestInsertReportsAbsence(t *testing.T) {
+	s := New(130)
+	for _, tok := range []int{0, 63, 64, 129} {
+		if !s.Insert(tok) {
+			t.Errorf("first Insert(%d) = false", tok)
+		}
+		if s.Insert(tok) {
+			t.Errorf("second Insert(%d) = true", tok)
+		}
+		if !s.Has(tok) {
+			t.Errorf("Has(%d) = false after Insert", tok)
+		}
+	}
+	if got := s.Count(); got != 4 {
+		t.Errorf("Count() = %d, want 4", got)
+	}
+	for _, tok := range []int{-1, 130} {
+		if s.Insert(tok) {
+			t.Errorf("Insert(%d) out of range = true", tok)
+		}
+	}
+}
+
+func TestNewSlabSetsAreIndependent(t *testing.T) {
+	sets := NewSlab(3, 70)
+	sets[1].Fill()
+	sets[0].Add(69)
+	if got := sets[1].Count(); got != 70 {
+		t.Errorf("filled slab set has %d tokens, want 70", got)
+	}
+	if sets[0].Count() != 1 || sets[2].Count() != 0 {
+		t.Errorf("slab sets share bits: %v %v", sets[0], sets[2])
+	}
+	if sets[2].Universe() != 70 {
+		t.Errorf("Universe() = %d, want 70", sets[2].Universe())
+	}
+}
+
 func TestOutOfRangeIgnored(t *testing.T) {
 	s := New(10)
 	s.Add(-1)

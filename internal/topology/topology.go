@@ -169,14 +169,24 @@ func DefaultTransitStub(n int) TransitStubParams {
 		ExtraStubEdgeP:  0.25,
 		Caps:            DefaultCaps,
 	}
-	// One transit domain of size t sponsors t·s stub domains of size z:
-	// total = t + t·s·z per domain. Scale domain count then transit size.
-	perDomain := p.TransitSize + p.TransitSize*p.StubsPerTransit*p.StubSize
+	// Scale the domain count to cover n.
+	perDomain := p.DomainVertices()
 	if n > perDomain {
 		p.TransitDomains = (n + perDomain - 1) / perDomain
 	}
 	return p
 }
+
+// DomainVertices returns the vertex count of one transit domain with its
+// stubs: a transit domain of size t sponsors t·s stub domains of size z,
+// t + t·s·z vertices in all. TransitStub builds TransitDomains of them.
+func (p TransitStubParams) DomainVertices() int {
+	return p.TransitSize + p.TransitSize*p.StubsPerTransit*p.StubSize
+}
+
+// TransitStubMinN is the smallest graph TransitStubN builds: one domain of
+// the default shape. Smaller requests still get that many vertices.
+func TransitStubMinN() int { return DefaultTransitStub(1).DomainVertices() }
 
 // TransitStub generates a hierarchical transit-stub graph:
 //
