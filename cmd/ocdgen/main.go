@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"ocd"
+	"ocd/internal/cliutil"
 )
 
 func main() {
@@ -38,6 +39,9 @@ func run(args []string, stdout io.Writer) error {
 	case "random":
 		g, err = ocd.RandomTopology(*n, ocd.DefaultCaps, *seed)
 	case "transit-stub":
+		if err := cliutil.CheckTransitStubN(*n); err != nil {
+			return err
+		}
 		g, err = ocd.TransitStubTopology(*n, ocd.DefaultCaps, *seed)
 	default:
 		return fmt.Errorf("unknown topology %q", *topo)

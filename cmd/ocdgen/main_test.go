@@ -24,11 +24,24 @@ func TestFormats(t *testing.T) {
 
 func TestTransitStub(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-topology", "transit-stub", "-n", "30", "-format", "stats"}, &out); err != nil {
+	if err := run([]string{"-topology", "transit-stub", "-n", "40", "-format", "stats"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "vertices=") {
 		t.Errorf("stats malformed: %s", out.String())
+	}
+}
+
+// TestTransitStubMinimumSize: below one transit domain with its stubs the
+// generator would round -n up, so ocdgen refuses it, as ocdsim does.
+func TestTransitStubMinimumSize(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-topology", "transit-stub", "-n", "39", "-format", "stats"}, &out)
+	if err == nil {
+		t.Fatalf("-n 39 accepted: %s", out.String())
+	}
+	if !strings.Contains(err.Error(), "must be at least 40") {
+		t.Errorf("error %q does not name the minimum", err)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"ocd"
 	"ocd/internal/cliutil"
-	"ocd/internal/topology"
 )
 
 func main() {
@@ -226,10 +225,8 @@ func buildInstance(instPath, topo, work string, n, tokens int, density float64, 
 	case "random":
 		g, err = ocd.RandomTopology(n, ocd.DefaultCaps, seed)
 	case "transit-stub":
-		// The generator rounds any smaller n up to one full domain; say so
-		// instead of silently simulating a larger graph.
-		if minN := topology.TransitStubMinN(); n < minN {
-			return nil, fmt.Errorf("-n must be at least %d with -topology transit-stub (one transit domain with its stubs), got %d", minN, n)
+		if err := cliutil.CheckTransitStubN(n); err != nil {
+			return nil, err
 		}
 		g, err = ocd.TransitStubTopology(n, ocd.DefaultCaps, seed)
 	default:

@@ -1,5 +1,6 @@
-// Package cliutil holds the command-line plumbing shared by cmd/ocdsim and
-// cmd/ocdchaos: comma-separated list parsing, the common harness flags
+// Package cliutil holds the command-line plumbing shared by cmd/ocdsim,
+// cmd/ocdchaos and cmd/ocdgen: comma-separated list parsing, flag checks,
+// the common harness flags
 // (seed, journal, monitor, parallelism), table writing, and the registry-
 // driven spec mode (-experiment/-param/-list/-spec) that lowers both
 // binaries onto the declarative experiment pipeline.
@@ -18,6 +19,7 @@ import (
 
 	"ocd/internal/experiments"
 	"ocd/internal/telemetry"
+	"ocd/internal/topology"
 )
 
 // ParseFloats parses a comma-separated float list, skipping empty entries.
@@ -52,6 +54,15 @@ func ParseInts(s string) ([]int, error) {
 		xs = append(xs, x)
 	}
 	return xs, nil
+}
+
+// CheckTransitStubN rejects a -n below one transit domain with its stubs:
+// the generator would round it up and build a larger graph than asked.
+func CheckTransitStubN(n int) error {
+	if minN := topology.TransitStubMinN(); n < minN {
+		return fmt.Errorf("-n must be at least %d with -topology transit-stub (one transit domain with its stubs), got %d", minN, n)
+	}
+	return nil
 }
 
 // SplitNames splits a comma-separated name list, dropping empty entries.

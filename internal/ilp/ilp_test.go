@@ -26,18 +26,67 @@ func lineInstance(t *testing.T, n, m, c int) *core.Instance {
 }
 
 func TestBuildDimensions(t *testing.T) {
+	// The 3-line 0→1→2 (capacity 1), both tokens at vertex 0 and wanted at
+	// vertex 2, τ=2. Earliest arrivals are e(0)=0, e(1)=1, e(2)=2 for both
+	// tokens, and x^i on an arc leaving u survives only when e(u) ≤ i−1.
 	inst := lineInstance(t, 3, 2, 1)
 	prog, err := Build(inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real arcs: 2 arcs × 2 tokens × 2 steps = 8.
-	// Self arcs: 3 vertices × 2 tokens × 3 steps = 18.
-	if got := prog.NumVariables(); got != 26 {
-		t.Errorf("variables = %d, want 26", got)
+	// Real arcs: (0,1) at steps 1,2 and (1,2) at step 2 → (2+1)·2 = 6.
+	// Self arcs: vertex 0 at steps 1..3, vertex 1 at 2..3, vertex 2 at 3
+	// → (3+2+1)·2 = 12. Total 18.
+	if got := prog.NumVariables(); got != 18 {
+		t.Errorf("variables = %d, want 18", got)
 	}
-	if prog.NumConstraints() == 0 {
-		t.Error("no constraints built")
+	// Possession rows exist for kept variables of steps ≥ 2: (0,1) step 2,
+	// (1,2) step 2, self 0 steps 2,3, self 1 steps 2,3, self 2 step 3
+	// → 7·2 = 14. Capacity rows bind where both tokens' variables survive
+	// on a capacity-1 arc: (0,1) at steps 1 and 2, (1,2) at step 2 → 3.
+	// The two final rows are lower bounds, not rows. Total 17.
+	if got := prog.NumConstraints(); got != 17 {
+		t.Errorf("constraints = %d, want 17", got)
+	}
+}
+
+// TestReleaseRestoresBaseBounds checks that releasing a branching fixing
+// returns a variable to its base bounds — [1, 1] for a final self-arc the
+// presolve turned into a bound, not a hard-coded [0, 1] — and that a
+// fixing outside the base bounds is refused.
+func TestReleaseRestoresBaseBounds(t *testing.T) {
+	inst := lineInstance(t, 3, 1, 1)
+	prog, err := Build(inst, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := prog.pos(0, 0, 1) // arc (0,1), the first in (From, To) order
+	final := prog.pos(inst.G.NumArcs()+2, 0, 3)
+	if free < 0 || final < 0 {
+		t.Fatalf("variables missing: free %d, final %d", free, final)
+	}
+	s, err := newSolver(prog.prob, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(j int, lo, up float64) {
+		t.Helper()
+		if gotLo, gotUp := s.sv.Bounds(j); gotLo != lo || gotUp != up {
+			t.Errorf("variable %d bounds [%v, %v], want [%v, %v]", j, gotLo, gotUp, lo, up)
+		}
+	}
+	if err := s.applyFixings(map[int]int{free: 1, final: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want(free, 1, 1)
+	want(final, 1, 1)
+	if err := s.applyFixings(map[int]int{}); err != nil {
+		t.Fatal(err)
+	}
+	want(free, 0, 1)
+	want(final, 1, 1)
+	if err := s.applyFixings(map[int]int{final: 0}); err == nil {
+		t.Error("fixing a final variable to 0 below its base bound accepted")
 	}
 }
 
@@ -167,5 +216,22 @@ func TestSolveBudget(t *testing.T) {
 	}
 	if err := core.Validate(inst, sched); err != nil {
 		t.Errorf("schedule invalid: %v", err)
+	}
+}
+
+// TestUnreachableSkipsLP: a wanted token that cannot reach its wanter
+// within τ hops makes the program infeasible before any LP is solved.
+func TestUnreachableSkipsLP(t *testing.T) {
+	inst := lineInstance(t, 4, 1, 1) // the token needs 3 hops
+	prog, err := Build(inst, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, st, err := prog.SolveStats(Options{})
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	if st.Nodes != 0 || st.SimplexIterations != 0 {
+		t.Errorf("unreachable program solved LPs: %+v", st)
 	}
 }

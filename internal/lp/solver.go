@@ -70,18 +70,25 @@ func NewSolver(p *Problem) (*Solver, error) {
 		return nil, fmt.Errorf("%w: %d upper bounds for %d variables", ErrDimensions, len(p.Up), n)
 	}
 
+	// The per-column vectors with the right-hand side, and the tableau,
+	// each live in one slab, so the float storage is two allocations
+	// whatever the row count.
+	nc := n + m
+	vecs := make([]float64, 4*nc+m)
+	tab := make([]float64, m*(nc+1))
 	s := &Solver{
-		n: n, m: m, ncols: n + m,
-		c:     make([]float64, n+m),
-		lo:    make([]float64, n+m),
-		up:    make([]float64, n+m),
-		b:     append([]float64(nil), p.B...),
-		cost:  make([]float64, n+m),
+		n: n, m: m, ncols: nc,
+		c:     vecs[:nc:nc],
+		lo:    vecs[nc : 2*nc : 2*nc],
+		up:    vecs[2*nc : 3*nc : 3*nc],
+		cost:  vecs[3*nc : 4*nc : 4*nc],
+		b:     vecs[4*nc:],
 		basis: make([]int, m),
-		rowOf: make([]int, n+m),
-		atUp:  make([]bool, n+m),
+		rowOf: make([]int, nc),
+		atUp:  make([]bool, nc),
 		rows:  make([][]float64, m),
 	}
+	copy(s.b, p.B)
 	copy(s.c, p.C)
 	for j := 0; j < n; j++ {
 		if p.Lo != nil {
@@ -98,7 +105,7 @@ func NewSolver(p *Problem) (*Solver, error) {
 	}
 	for i := 0; i < m; i++ {
 		s.up[n+i] = math.Inf(1) // slack bounds [0, ∞)
-		row := make([]float64, s.ncols+1)
+		row := tab[i*(nc+1) : (i+1)*(nc+1) : (i+1)*(nc+1)]
 		copy(row, p.A[i])
 		row[n+i] = 1
 		s.rows[i] = row
@@ -545,6 +552,9 @@ type Stats struct {
 func (s *Solver) Stats() Stats {
 	return Stats{Iterations: s.iters, BoundFlips: s.flips, DualRestorations: s.resolves}
 }
+
+// Bounds returns variable j's current bounds.
+func (s *Solver) Bounds(j int) (lo, up float64) { return s.lo[j], s.up[j] }
 
 // SetBounds replaces variable j's bounds in place. The tableau stays
 // consistent and dual feasible: a nonbasic variable is snapped to
